@@ -1,9 +1,14 @@
-"""Bracket polynomials via algebraic loop counting.
+"""Bracket polynomials folded over the expression in the tangle basis.
 
-Each crossing resolves into a horizontal or vertical smoothing with label
-A or B; the connectivity algebra counts the loops of every state, giving
-first the raw three-variable sum and then, after B = 1/A and
-d = -A^2 - A^(-2), the bracket polynomial itself.
+Each crossing resolves into a horizontal (E) or vertical (V) smoothing
+with label A or B.  Instead of visiting all 2^n states, the state sum of
+every subtangle is kept as f.[E] + g.[V], with f and g polynomials in A,
+B and the loop value d: a crossing O is (A, B), tangle addition gives
+(f1 f2, f1 g2 + g1 f2 + d g1 g2), <...> swaps f and g, and the closure
+is d^2 f + d g.  That is the raw three-variable sum; B = 1/A and
+d = -A^2 - A^(-2) then give the bracket polynomial itself.
+`knotalg bracket --verify` checks it against the explicit enumeration
+of states.
 """
 
 from knotalg import bracket, mirror, parse, raw_bracket, to_text

@@ -1,12 +1,30 @@
-"""Bracket state sums computed by connectivity-algebra loop counting.
+"""Bracket state sums computed compositionally in the tangle basis.
 
 Every crossing is resolved two ways: a positive crossing smooths
-horizontally under an A label and vertically under a B label, a negative
-crossing the other way around.  Summing A^i B^j d^k over all 2^n states,
-with k the number of closed loops in the state, gives the raw
-three-variable bracket; substituting B = 1/A, d = -A^2 - A^(-2) and
-dividing once by d gives the bracket polynomial proper (so the unknot
-evaluates to 1).
+horizontally (E) under an A label and vertically (V) under a B label, a
+negative crossing the other way around.  The raw three-variable bracket
+is the sum of A^i B^j d^k over all 2^n states, with k the number of
+closed loops in the state.
+
+It is computed without visiting the states.  The state sum of a tangle
+is f.[E] + g.[V], with f and g polynomials in A, B and d: the connectivity
+classes E and V are the tangle basis, and the algebra's table
+
+    E.E = E    E.V = V.E = V    V.V = V plus one closed loop
+
+lifts to coefficients, so one fold over the expression gives
+
+    O -> (A, B)    U -> (B, A)    E -> (1, 0)
+    tangle sum  (f1, g1) + (f2, g2) = (f1 f2, f1 g2 + g1 f2 + d g1 g2)
+    <...>       swaps f and g
+    closure     d^2 f + d g         (E closes to two circles, V to one)
+
+This is Kauffman's state model written in Conway's tangle calculus.
+Substituting B = 1/A, d = -A^2 - A^(-2) and dividing once by d gives the
+bracket polynomial proper (so the unknot evaluates to 1).  The explicit
+enumeration of all 2^n states is kept as state_sum_bracket, the
+independent route that tests and `knotalg bracket --verify` compare
+against.
 """
 
 from __future__ import annotations
@@ -227,15 +245,86 @@ class RawBracket:
         return " + ".join(pieces) if pieces else "0"
 
 
-def raw_bracket(e: Expr, max_crossings: int | None = None) -> RawBracket:
-    """Enumerate all smoothing states of e and tally their loop counts."""
-    expanded = expand_crossings(e)
-    signs = crossing_signs(e)
-    n = len(signs)
+Monomials = dict[tuple[int, int, int], int]  # {(i, j, k): multiplicity of A^i B^j d^k}
+
+_ONE: Monomials = {(0, 0, 0): 1}
+_CROSSING: dict[int, tuple[Monomials, Monomials]] = {
+    +1: ({(1, 0, 0): 1}, {(0, 1, 0): 1}),
+    -1: ({(0, 1, 0): 1}, {(1, 0, 0): 1}),
+}
+
+
+def _poly_mul(p: Monomials, q: Monomials, loops: int = 0) -> Monomials:
+    """p * q * d^loops.  Multiplicities are positive, so nothing cancels."""
+    out: Monomials = {}
+    for (i1, j1, k1), c1 in p.items():
+        for (i2, j2, k2), c2 in q.items():
+            key = (i1 + i2, j1 + j2, k1 + k2 + loops)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _poly_add(*polys: Monomials) -> Monomials:
+    out: Monomials = {}
+    for p in polys:
+        for key, c in p.items():
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def _tangle_sum(x: tuple[Monomials, Monomials], y: tuple[Monomials, Monomials]):
+    """(f1, g1) + (f2, g2): E.E = E, E.V = V.E = V, and V.V = V with one loop."""
+    (f1, g1), (f2, g2) = x, y
+    return _poly_mul(f1, f2), _poly_add(_poly_mul(f1, g2), _poly_mul(g1, f2), _poly_mul(g1, g2, 1))
+
+
+def _tangle_state_sum(e: Expr) -> tuple[Monomials, Monomials]:
+    """(f, g) with state sum f.[E] + g.[V] for the tangle e."""
+    if isinstance(e, CrossingPos):
+        return _CROSSING[+1]
+    if isinstance(e, CrossingNeg):
+        return _CROSSING[-1]
+    if isinstance(e, IntTangle):
+        unit = _CROSSING[1 if e.n > 0 else -1]
+        value: tuple[Monomials, Monomials] = (_ONE, {})
+        for _ in range(abs(e.n)):
+            value = _tangle_sum(value, unit)
+        return value
+    if isinstance(e, Cross):
+        f, g = _tangle_state_sum(e.inner)
+        return g, f
+    value = _tangle_state_sum(e.parts[0])
+    for p in e.parts[1:]:
+        value = _tangle_sum(value, _tangle_state_sum(p))
+    return value
+
+
+def capped_crossing_count(e: Expr, max_crossings: int | None = None) -> int:
+    """crossing_count(e); raises CapacityError, before any expansion, above the cap."""
+    n = crossing_count(e)
     cap = crossing_cap(max_crossings)
     if n > cap:
         raise CapacityError(f"{n} crossings exceeds the cap of {cap}")
-    terms: dict[tuple[int, int, int], int] = {}
+    return n
+
+
+def raw_bracket(e: Expr, max_crossings: int | None = None) -> RawBracket:
+    """The state sum of the closure of e, folded over e in the tangle basis."""
+    n = capped_crossing_count(e, max_crossings)
+    f, g = _tangle_state_sum(e)
+    return RawBracket(n, _poly_add(_poly_mul(f, _ONE, 2), _poly_mul(g, _ONE, 1)))
+
+
+def state_sum_bracket(e: Expr, max_crossings: int | None = None) -> RawBracket:
+    """Enumerate all 2^n smoothing states of e and tally their loop counts.
+
+    The independent second route to raw_bracket; it evaluates the whole
+    expression once per state.
+    """
+    n = capped_crossing_count(e, max_crossings)
+    expanded = expand_crossings(e)
+    signs = crossing_signs(e)
+    terms: Monomials = {}
     for index in range(1 << n):
         a_count = 0
         classes = []

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import annotated_text, closure_components, closure_count, opacity, trace
-from .bracket import bracket
+from .bracket import bracket, state_sum_bracket
 from .enumeration import rational_table, table_json, table_text
 from .errors import CapacityError, ConsistencyError
 from .expr import ExprSyntaxError, leaves, parse, to_text
@@ -138,9 +138,16 @@ def _cmd_enumerate(args) -> CommandResult:
 def _cmd_bracket(args) -> CommandResult:
     e = parse(args.expr)
     poly = bracket(e)
+    if args.verify:
+        enumerated = state_sum_bracket(e).specialize()
+        if poly != enumerated:
+            raise ConsistencyError(
+                f"bracket disagreement: tangle fold {poly}, state sum {enumerated}"
+            )
     if args.format == "json":
         return CommandResult(0, _json([list(p) for p in poly.to_pairs()]))
-    return CommandResult(0, str(poly))
+    suffix = "  (verified)" if args.verify else ""
+    return CommandResult(0, f"{poly}{suffix}")
 
 
 def _cmd_opacity(args) -> CommandResult:
@@ -233,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket", help="bracket polynomial of the closure")
     p.add_argument("expr")
+    p.add_argument("--verify", action="store_true",
+                   help="cross-check against the explicit 2^n state sum")
     _add_format(p)
     p.set_defaults(func=_cmd_bracket)
 

@@ -15,8 +15,14 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .algebra import ConnClass, closure_count, eval_smoothed
-from .bracket import crossing_cap, crossing_signs, expand_crossings, smoothing_class, state_string
-from .errors import CapacityError, ConsistencyError
+from .bracket import (
+    capped_crossing_count,
+    crossing_signs,
+    expand_crossings,
+    smoothing_class,
+    state_string,
+)
+from .errors import ConsistencyError
 from .expr import Cross, CrossingNeg, CrossingPos, Expr, IntTangle
 
 Incidence = tuple[int, int]  # (site id, side 0 or 1)
@@ -359,10 +365,7 @@ class StateCube:
 
 def build_cube(e: Expr, max_crossings: int | None = None) -> StateCube:
     """Build the full state cube of e: vertices per state, edges per A-to-B flip."""
-    n = len(crossing_signs(e))
-    cap = crossing_cap(max_crossings)
-    if n > cap:
-        raise CapacityError(f"{n} crossings exceeds the cap of {cap}")
+    n = capped_crossing_count(e, max_crossings)
     vertices = {}
     for index in range(1 << n):
         bits = state_string(index, n)

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -12,6 +14,7 @@ from knotalg import (
     IntTangle,
     LaurentPoly,
     bracket,
+    build_cube,
     crossing_count,
     expand_crossings,
     mirror,
@@ -19,7 +22,7 @@ from knotalg import (
     raw_bracket,
     trace_state_loops,
 )
-from knotalg.bracket import RawBracket, state_string
+from knotalg.bracket import RawBracket, state_string, state_sum_bracket
 from corpus import BORROMEAN, random_expr_with_cap, state_sweep_corpus
 
 A, B, d = sp.symbols("A B d")
@@ -173,6 +176,29 @@ def test_mirror_symmetry():
         assert bracket(mirror(e)) == bracket(e).inverted()
 
 
+def test_fold_matches_state_sum():
+    rng = random.Random(4012)
+    exprs = state_sweep_corpus(8) + [random_expr_with_cap(rng, 12) for _ in range(200)]
+    for e in exprs:
+        assert raw_bracket(e).terms == state_sum_bracket(e).terms, e
+
+
+def test_sixty_crossings_beyond_enumeration():
+    e = parse("<3 <4 -5> 2> <<6> -7> <-9 <5> 3> U P(2,-3,4) [3,1,2]")
+    assert crossing_count(e) == 60
+    raw = raw_bracket(e, max_crossings=200)
+    assert raw.n == 60
+    assert raw.multiplicity_total() == 2**60
+    assert all(i + j == raw.n for (i, j, _) in raw.terms)
+    poly = raw.specialize()
+    assert bracket(mirror(e), max_crossings=200) == poly.inverted()
+    # Exact check of specialize at A = 2: sum of A^(i-j) d^(k-1) with d = -A^2 - A^-2.
+    a = Fraction(2)
+    loop = -(a**2) - 1 / a**2
+    expected = sum(mult * a ** (i - j) * loop ** (k - 1) for (i, j, k), mult in raw.terms.items())
+    assert sum(c * a**exp for exp, c in poly.terms.items()) == expected
+
+
 def test_capacity_cap():
     big = IntTangle(25)
     with pytest.raises(CapacityError):
@@ -186,6 +212,18 @@ def test_capacity_env_override(monkeypatch):
     with pytest.raises(CapacityError):
         raw_bracket(IntTangle(4))
     assert raw_bracket(IntTangle(3)).n == 3
+
+
+@pytest.mark.parametrize("route", [raw_bracket, state_sum_bracket, build_cube])
+def test_capacity_checked_before_allocation(route):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            route(IntTangle(10**9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_specialize_is_exact_by_construction():

@@ -1,6 +1,9 @@
 import json
 
-from knotalg.cli import EXIT_CAPACITY, EXIT_PARSE, run
+from knotalg import cli, parse, to_text
+from knotalg.bracket import state_sum_bracket
+from knotalg.cli import EXIT_CAPACITY, EXIT_CONSISTENCY, EXIT_PARSE, run
+from corpus import state_sweep_corpus
 
 
 def ok(argv):
@@ -61,6 +64,20 @@ def test_enumerate_json():
 def test_bracket():
     assert ok(["bracket", "O O"]) == "-A^4 - A^-4"
     assert json.loads(ok(["bracket", "O O", "--format", "json"])) == [[4, -1], [-4, -1]]
+
+
+def test_bracket_verify():
+    for e in state_sweep_corpus(6)[::9]:
+        text = to_text(e)
+        assert ok(["bracket", text, "--verify"]) == ok(["bracket", text]) + "  (verified)"
+        as_json = ["bracket", text, "--format", "json"]
+        assert ok(as_json + ["--verify"]) == ok(as_json)
+
+
+def test_bracket_verify_disagreement(monkeypatch):
+    wrong = state_sum_bracket(parse("O"))
+    monkeypatch.setattr(cli, "state_sum_bracket", lambda e: wrong)
+    assert err(["bracket", "O O", "--verify"], EXIT_CONSISTENCY)["kind"] == "consistency"
 
 
 def test_opacity():
