@@ -4,7 +4,9 @@ Resolving each crossing both ways spans a hypercube of states.  Flipping
 one A-smoothing to B either merges two loops or splits one, so every edge
 of the cube carries a merge/split label; the delta-tensor engine also
 reports, per state, which smoothing sites touch one loop and which touch
-two.
+two.  The wiring between crossings is the same in every state, so the
+cube contracts it once and per state only swaps in the n smoothing
+pairings; state_structure contracts the full delta network for one state.
 """
 
 import json

@@ -225,10 +225,11 @@ class RawBracket:
         top = max((k for _, _, k in self.terms), default=0)
         for k in range(1, top + 1):
             powers[k] = powers[k - 1] * _LOOP_POLY
-        total = LaurentPoly()
+        total: dict[int, int] = {}
         for (i, j, k), mult in self.terms.items():
-            total = total + LaurentPoly({i - j: mult}) * powers[k]
-        return total.divexact(_LOOP_POLY)
+            for exp, coeff in powers[k].terms.items():
+                total[i - j + exp] = total.get(i - j + exp, 0) + mult * coeff
+        return LaurentPoly(total).divexact(_LOOP_POLY)
 
     def __str__(self) -> str:
         def factor(sym: str, power: int) -> str:

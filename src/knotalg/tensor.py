@@ -7,6 +7,14 @@ they passed through.  A fully closed expression resolves into loops, each
 a cyclic sequence of (site, side) incidences, which is exactly what the
 state cube needs: loop counts per state and, per site, whether its two
 arcs sit on one loop or two.
+
+Only the smoothing pairings change from one state to the next; the
+wiring between sites is the same in every state.  build_cube therefore
+contracts the wiring once, into a perfect matching on the 4n site ports
+plus a count of bare circles, and per state swaps in the n smoothing
+pairings and walks arc, wire, arc around each loop: one O(n) build, then
+O(n) per state.  state_structure keeps the full delta contraction for a
+single state and is the independent route the cube is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .bracket import (
     state_string,
 )
 from .errors import ConsistencyError
-from .expr import Cross, CrossingNeg, CrossingPos, Expr, IntTangle
+from .expr import Concat, Cross, CrossingNeg, CrossingPos, Expr, IntTangle
 
 Incidence = tuple[int, int]  # (site id, side 0 or 1)
 Loop = tuple[Incidence, ...]
@@ -363,23 +371,153 @@ class StateCube:
         }
 
 
+_CROSS = object()  # stack marker: rotate the boundary on top of the value stack
+
+
+def _port_diagram(e: Expr, n: int) -> tuple[list[int], list[int], int]:
+    """Contract the wiring of the numerator closure of e once, for every state.
+
+    Site s (crossings in leaf order) owns ports 4s .. 4s+3 in the order
+    (nw, ne, sw, se); identity tangles own two fixed arcs on ports past 4n.
+    Returns (signs, wire, bare): the crossing sign of each site, the port
+    wire[p] that the wiring joins site port p to, and the number of bare
+    circles, components of the wiring that meet no site.
+    """
+    parent = list(range(4 * n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        parent[find(x)] = find(y)
+
+    def add(left: tuple, right: tuple) -> tuple:
+        union(left[1], right[0])
+        union(left[3], right[2])
+        return left[0], right[1], left[2], right[3]
+
+    signs: list[int] = []
+    values: list[tuple[int, int, int, int]] = []  # boundary ports (nw, ne, sw, se)
+    todo: list = [e]
+    while todo:
+        node = todo.pop()
+        if node is _CROSS:
+            nw, ne, sw, se = values.pop()
+            values.append((sw, nw, se, ne))
+        elif isinstance(node, int):  # a pending tangle sum of that many parts
+            parts = values[-node:]
+            del values[-node:]
+            value = parts[0]
+            for part in parts[1:]:
+                value = add(value, part)
+            values.append(value)
+        elif isinstance(node, Cross):
+            todo += (_CROSS, node.inner)
+        elif isinstance(node, Concat):
+            todo.append(len(node.parts))
+            todo.extend(reversed(node.parts))
+        elif isinstance(node, IntTangle) and node.n == 0:
+            start = len(parent)
+            parent += (start, start, start + 2, start + 2)  # the arcs nw-ne and sw-se
+            values.append((start, start + 1, start + 2, start + 3))
+        else:  # a single crossing, or an integral tangle of |n| sites in a row
+            if isinstance(node, IntTangle):
+                count, sign = abs(node.n), (1 if node.n > 0 else -1)
+            else:
+                count, sign = 1, (1 if isinstance(node, CrossingPos) else -1)
+            base = 4 * len(signs)
+            signs += [sign] * count
+            value = (base, base + 1, base + 2, base + 3)
+            for port in range(base + 4, base + 4 * count, 4):
+                value = add(value, (port, port + 1, port + 2, port + 3))
+            values.append(value)
+    nw, ne, sw, se = values.pop()
+    union(nw, ne)
+    union(sw, se)
+
+    ends: dict[int, list[int]] = {}
+    for port in range(4 * n):
+        ends.setdefault(find(port), []).append(port)
+    wire = [0] * (4 * n)
+    for ports in ends.values():
+        if len(ports) != 2:
+            raise ConsistencyError(f"wiring joins {len(ports)} site ports in one strand")
+        first, second = ports
+        wire[first], wire[second] = second, first
+    circles = {find(port) for port in range(4 * n, len(parent))}
+    return signs, wire, len(circles - ends.keys())
+
+
+def _site_steps(site: int, kind: ConnClass, wire: list[int]) -> tuple:
+    """Walk steps through one smoothed site, indexed by its four ports.
+
+    Entering the site at a port, a loop runs along the arc of that
+    smoothing which ends there, leaves by the arc's other port and follows
+    the wiring; each step is (port entered next, arc id, incidence).
+    """
+    steps: list = [None] * 4
+    for side, pair in enumerate(_PAIRINGS[kind]):
+        for k, other in (pair, pair[::-1]):
+            steps[k] = (wire[4 * site + other], 2 * site + side, (site, side))
+    return tuple(steps)
+
+
+def _state_loops(steps: list, bare: int) -> tuple[Loop, ...]:
+    """The sorted canonical loops of one state from its per-port walk steps.
+
+    Ports are scanned in order, so each loop is first met at its smallest
+    incidence.  A loop visits each arc once, so its canonical cycle is the
+    lesser of its two directions from that incidence.
+    """
+    seen = [False] * (len(steps) // 2)
+    loops = []
+    for start in range(len(steps)):
+        cycle = []
+        port, arc, incidence = steps[start]
+        while not seen[arc]:
+            seen[arc] = True
+            cycle.append(incidence)
+            port, arc, incidence = steps[port]
+        if cycle:
+            loops.append(min(tuple(cycle), tuple(cycle[:1] + cycle[:0:-1])))
+    loops.sort()
+    return ((),) * bare + tuple(loops)
+
+
 def build_cube(e: Expr, max_crossings: int | None = None) -> StateCube:
-    """Build the full state cube of e: vertices per state, edges per A-to-B flip."""
+    """Build the full state cube of e: vertices per state, edges per A-to-B flip.
+
+    The wiring between smoothing sites is contracted once; each state then
+    only lays its n smoothing pairings on the site ports and walks the
+    loops, so the cube costs O(n) per state after one O(n) build.
+    """
     n = capped_crossing_count(e, max_crossings)
+    signs, wire, bare = _port_diagram(e, n)
+    choices = [
+        {label: _site_steps(site, smoothing_class(sign, label), wire) for label in "AB"}
+        for site, sign in enumerate(signs)
+    ]
+    states = [state_string(index, n) for index in range(1 << n)]
     vertices = {}
-    for index in range(1 << n):
-        bits = state_string(index, n)
-        vertices[bits] = CubeVertex(bits, state_structure(e, bits))
+    for bits in states:
+        steps: list = []
+        for choice, label in zip(choices, bits):
+            steps += choice[label]
+        vertices[bits] = CubeVertex(bits, LoopStructure(_state_loops(steps, bare), n))
+    counts = [vertex.loops for vertex in vertices.values()]
     edges = []
-    for bits, vertex in vertices.items():
+    for index, bits in enumerate(states):
         for pos in range(n):
             if bits[pos] != "A":
                 continue
-            flipped = bits[:pos] + "B" + bits[pos + 1:]
-            delta = vertices[flipped].loops - vertex.loops
+            flipped = index | 1 << (n - 1 - pos)
+            delta = counts[flipped] - counts[index]
             if delta not in (-1, 1):
                 raise ConsistencyError(
-                    f"edge {bits}->{flipped} changes loop count by {delta}"
+                    f"edge {bits}->{states[flipped]} changes loop count by {delta}"
                 )
-            edges.append(CubeEdge(bits, flipped, pos, "merge" if delta < 0 else "split"))
+            edges.append(CubeEdge(bits, states[flipped], pos, "merge" if delta < 0 else "split"))
     return StateCube(n, vertices, tuple(edges))

@@ -95,6 +95,13 @@ def test_cube():
     assert len(data["edges"]) == 4
 
 
+def test_cube_deep_nesting():
+    data = json.loads(ok(["cube", "<0 " * 450 + "O" + ">" * 450]))
+    assert data["n"] == 1
+    assert len(data["vertices"]) == 2
+    assert len(data["edges"]) == 1
+
+
 def test_nullity_expression():
     assert ok(["nullity", "<<2> <-2>> <2> <-2>"]) == "3"
 

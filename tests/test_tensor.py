@@ -5,9 +5,12 @@ import pytest
 from knotalg import (
     CapacityError,
     ConnClass,
+    Cross,
+    IntTangle,
     build_cube,
     classify_site_by_toggle,
     closure_count,
+    concat,
     contract,
     crossing_count,
     crossing_tensor,
@@ -20,7 +23,7 @@ from knotalg import (
     trace_state_loops,
 )
 from knotalg.bracket import crossing_signs, smoothing_class, state_string
-from corpus import state_sweep_corpus
+from corpus import random_leaf, state_sweep_corpus
 
 E, V, O = ConnClass.E, ConnClass.V, ConnClass.O
 
@@ -210,6 +213,35 @@ def test_cube_edges_change_loops_by_one():
             assert edge.label == ("merge" if delta < 0 else "split")
         expected_edges = cube.n * 2 ** (cube.n - 1) if cube.n else 0
         assert len(cube.edges) == expected_edges
+
+
+def random_wiring_expr(rng, depth=4):
+    """Random crossings mixed with identity tangles and <...>, which close to bare circles."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return IntTangle(0) if rng.random() < 0.4 else random_leaf(rng)
+    if roll < 0.55:
+        return Cross(random_wiring_expr(rng, depth - 1))
+    return concat(*(random_wiring_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def test_cube_matches_state_structure():
+    rng = random.Random(11)
+    randoms = []
+    while len(randoms) < 50:
+        e = random_wiring_expr(rng)
+        if crossing_count(e) <= 6:
+            randoms.append(e)
+    bare_circles = 0
+    for e in state_sweep_corpus(6) + randoms:
+        cube = build_cube(e)
+        for bits, vertex in cube.vertices.items():
+            assert vertex.structure == state_structure(e, bits)
+            bare_circles += vertex.structure.loops.count(())
+        for edge in cube.edges:
+            kind = cube.vertices[edge.src].structure.site_kinds()[edge.site]
+            assert edge.label == {"self": "split", "joining": "merge"}[kind]
+    assert bare_circles > 0
 
 
 def test_cube_json_schema():
