@@ -1,8 +1,12 @@
 """Enumerating all rational knots and links with a given crossing number.
 
 Rational links with n crossings are compositions of n with both end parts
-at least 2, identified with their reversals.  The algebra then splits
-each table into knots and links with no diagram drawing at all.
+at least 2, identified with their reversals.  rational_table walks them
+once, depth first, and keeps only each class's lex-least member; along
+the way it carries the continued fraction's convergents and the
+connectivity map of the prefix, so the algebra splits each table into
+knots and links with no diagram drawing at all, and the parity of P/Q
+confirms every split.
 """
 
 from knotalg import compositions_with_big_ends, rational_table

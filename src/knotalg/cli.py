@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -300,7 +301,12 @@ def run(argv: list[str]) -> CommandResult:
 def main(argv: list[str] | None = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     stream = sys.stdout if result.code == 0 else sys.stderr
-    print(result.payload, file=stream)
+    try:
+        print(result.payload, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head`); send the rest, and the flush at exit, nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return result.code
 
 

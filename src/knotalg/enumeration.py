@@ -1,9 +1,11 @@
 """Enumeration of rational knots and links by ordered partitions.
 
 A rational link with n crossings corresponds to a composition of n whose
-first and last parts exceed 1, taken up to reversal.  Each class is
-classified knot/link twice, by the fraction parity rule and by the
-connectivity algebra, and the two must agree.
+first and last parts exceed 1, taken up to reversal.  The table streams
+each class's lex-least member from one depth-first walk that updates the
+continued fraction and the connectivity map once per prefix, and each
+class is classified knot/link twice, by the fraction parity rule and by
+the connectivity algebra; the two must agree.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .algebra import closure_components
-from .errors import ConsistencyError
-from .expr import continued_fraction
-from .rational import Frac, ParityClass, cf_value, classify_fraction
+from .algebra import ConnClass, ConnValue, closure_count, cross, mul, parity_class
+from .bracket import crossing_cap
+from .errors import CapacityError, ConsistencyError
+from .rational import Frac, ParityClass, classify_fraction
 
 
 def compositions_with_big_ends(n: int) -> Iterator[tuple[int, ...]]:
@@ -52,24 +54,48 @@ class TableEntry:
         return self.parity.kind
 
 
-def rational_table(n: int) -> list[TableEntry]:
-    """One entry per reversal class of big-ended compositions of n.
+_CLASSES = (ConnClass.E, ConnClass.V, ConnClass.O)
 
-    Raises ConsistencyError if the fraction classifier and the algebra
-    component count ever disagree (that would be a bug, not bad input).
+
+def rational_table(n: int) -> list[TableEntry]:
+    """One entry per reversal class of big-ended compositions of n, in lex order.
+
+    One explicit-stack walk keeps each class's lex-least member.  A frame
+    carries its parent's convergents p_k = a_k p_(k-1) + p_(k-2) (likewise q)
+    and the map x -> [a1, ..., a_(k-1), x] as its values at E, V and O.
+    Raises CapacityError above the crossing cap before allocating, and
+    ConsistencyError if the two routes disagree (a bug, not bad input).
     """
-    classes = sorted({canonical(c) for c in compositions_with_big_ends(n)})
-    entries = []
-    for parts in classes:
-        fraction = cf_value(parts)
-        parity = classify_fraction(fraction)
-        components = closure_components(continued_fraction(parts))
-        if components != parity.components:
-            raise ConsistencyError(
-                f"classifiers disagree on {parts}: fraction rule says "
-                f"{parity.components} components, algebra says {components}"
-            )
-        entries.append(TableEntry(parts, fraction, parity, components))
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if n > crossing_cap():
+        raise CapacityError(f"{n} crossings exceeds the cap of {crossing_cap()}")
+    entries, maps, identity = [], {}, tuple(map(ConnValue, _CLASSES))
+    # Prefixes are pushed in reverse so they pop in lex order, and only
+    # while they can still end in a part >= their first.
+    stack = [((a,), n - a, 1, 0, 0, 1, identity) for a in (n, *range(n // 2, 1, -1))]
+    while stack:
+        parts, rest, p, p1, q, q1, g = stack.pop()
+        a = parts[-1]
+        p, p1, q, q1 = a * p + p1, p, a * q + q1, q
+        if rest:
+            h = maps.get((g, a & 1))
+            if h is None:  # x -> g(<x> a); g takes x = (c, l) to g[c] . (E, l)
+                xs = [mul(cross(x), ConnValue(parity_class(a))) for x in identity]
+                h = tuple(mul(g[_CLASSES.index(x.cls)], ConnValue(ConnClass.E, x.loops)) for x in xs)
+                maps[g, a & 1] = h
+            stack += [(parts + (c,), rest - c, p, p1, q, q1, h)
+                      for c in (rest, *range(rest - parts[0], 0, -1))]
+        elif parts <= parts[::-1]:
+            fraction = Frac(p, q)  # the algebra route never reads P or Q
+            parity = classify_fraction(fraction)
+            components = closure_count(g[_CLASSES.index(parity_class(a))])
+            if components != parity.components:
+                raise ConsistencyError(
+                    f"classifiers disagree on {parts}: fraction rule says "
+                    f"{parity.components} components, algebra says {components}"
+                )
+            entries.append(TableEntry(parts, fraction, parity, components))
     return entries
 
 

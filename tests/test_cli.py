@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from knotalg import cli, parse, to_text
 from knotalg.bracket import state_sum_bracket
@@ -128,6 +132,23 @@ def test_capacity_exit_code(monkeypatch):
     monkeypatch.setenv("KNOTALG_MAX_CROSSINGS", "4")
     assert err(["bracket", "6"], EXIT_CAPACITY)["kind"] == "capacity"
     assert err(["cube", "6"], EXIT_CAPACITY)["kind"] == "capacity"
+    assert err(["enumerate", "6"], EXIT_CAPACITY)["kind"] == "capacity"
+
+
+def test_closed_pipe_prints_no_traceback():
+    # The JSON table for 14 crossings is larger than a pipe buffer, so the
+    # writer is still printing when the reader goes away.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "knotalg", "enumerate", "14", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert child.stdout.readline() == b"[\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait() == 0, stderr
+    assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr
 
 
 def test_missing_graph_file():

@@ -1,16 +1,23 @@
 import json
+import tracemalloc
 
 import pytest
 
 from knotalg import (
+    CapacityError,
+    ConsistencyError,
+    ParityClass,
     canonical,
     cf_value,
+    closure_components,
+    closure_count,
     compositions_with_big_ends,
     continued_fraction,
     rational_table,
     schubert_equivalent,
     trace_components,
 )
+from knotalg import enumeration
 from knotalg.enumeration import table_json, table_text
 
 
@@ -118,3 +125,41 @@ def test_json_and_text_output():
     }
     text = table_text(entries)
     assert "(2,2)" in text and "5/2" in text and "knot" in text
+
+
+def test_table_matches_set_and_sort_construction():
+    for n in range(2, 15):
+        entries = rational_table(n)
+        assert [e.parts for e in entries] == sorted(
+            {canonical(c) for c in compositions_with_big_ends(n)})
+        for e in entries:
+            assert e.fraction == cf_value(e.parts)
+            assert e.components == closure_components(continued_fraction(e.parts))
+
+
+@pytest.mark.parametrize("route", ["algebra", "fraction"])
+def test_disagreeing_routes_raise(monkeypatch, route):
+    if route == "algebra":
+        monkeypatch.setattr(enumeration, "closure_count", lambda v: 3 - closure_count(v))
+    else:
+        monkeypatch.setattr(enumeration, "classify_fraction", lambda f: ParityClass.OKNOT)
+    with pytest.raises(ConsistencyError):
+        rational_table(6)
+
+
+def test_capacity_cap(monkeypatch):
+    monkeypatch.setenv("KNOTALG_MAX_CROSSINGS", "6")
+    with pytest.raises(CapacityError):
+        rational_table(7)
+    assert len(rational_table(6)) == 6
+
+
+def test_capacity_checked_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            rational_table(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
