@@ -5,8 +5,11 @@ Expressions are single shell arguments; quote anything containing '<' or
 
     knotalg components "<<2> <-2>> <2> <-2>"
 
-Exit codes: 0 success, 2 malformed input, 3 capacity exceeded, 4 internal
-consistency failure.
+Exit codes: 0 success, 2 malformed input, 3 capacity exceeded (too many
+crossings, nesting too deep, out of memory), 4 internal consistency failure.
+
+Each subcommand imports the modules it runs inside its handler, so a call
+pays start-up only for those.
 """
 
 from __future__ import annotations
@@ -17,15 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .algebra import annotated_text, closure_components, closure_count, opacity, trace
-from .bracket import bracket, state_sum_bracket
-from .enumeration import rational_table, table_json, table_text
-from .errors import CapacityError, ConsistencyError
-from .expr import ExprSyntaxError, leaves, parse, to_text
-from .graph import PlaneGraph, closure_nullity, mod2_laplacian, nullity_gf2
-from .oracle import trace_components
-from .rational import cf_of_fraction, cf_value, classify_fraction, parse_fraction
-from .tensor import build_cube
+from .errors import CapacityError, ConsistencyError, ExprSyntaxError
 
 EXIT_PARSE = 2
 EXIT_CAPACITY = 3
@@ -43,6 +38,9 @@ def _json(data) -> str:
 
 
 def _cmd_eval(args) -> CommandResult:
+    from .algebra import annotated_text, closure_count, trace
+    from .expr import parse
+
     e = parse(args.expr)
     t = trace(e)
     if args.format == "json":
@@ -69,10 +67,16 @@ def _cmd_eval(args) -> CommandResult:
 
 
 def _cmd_components(args) -> CommandResult:
+    from .algebra import closure_components
+    from .expr import parse, to_text
+
     e = parse(args.expr)
     count = closure_components(e)
     verified = None
     if args.verify:
+        from .graph import closure_nullity
+        from .oracle import trace_components
+
         traced = trace_components(e)
         nullity = closure_nullity(e)
         if not count == traced == nullity:
@@ -91,6 +95,8 @@ def _cmd_components(args) -> CommandResult:
 
 
 def _cmd_fraction(args) -> CommandResult:
+    from .rational import classify_fraction, parse_fraction
+
     f = parse_fraction(args.fraction)
     parity = classify_fraction(f)
     if args.format == "json":
@@ -109,6 +115,8 @@ def _cmd_fraction(args) -> CommandResult:
 
 
 def _cmd_cf(args) -> CommandResult:
+    from .rational import cf_of_fraction, parse_fraction
+
     f = parse_fraction(args.fraction)
     terms = cf_of_fraction(f)
     if args.format == "json":
@@ -117,6 +125,8 @@ def _cmd_cf(args) -> CommandResult:
 
 
 def _cmd_cfval(args) -> CommandResult:
+    from .rational import cf_value
+
     try:
         entries = [int(x) for x in args.entries.split(",") if x.strip() != ""]
     except ValueError as err:
@@ -130,6 +140,8 @@ def _cmd_cfval(args) -> CommandResult:
 
 
 def _cmd_enumerate(args) -> CommandResult:
+    from .enumeration import rational_table, table_json, table_text
+
     entries = rational_table(args.n)
     if args.format == "json":
         return CommandResult(0, _json(table_json(entries)))
@@ -137,6 +149,9 @@ def _cmd_enumerate(args) -> CommandResult:
 
 
 def _cmd_bracket(args) -> CommandResult:
+    from .bracket import bracket, state_sum_bracket
+    from .expr import parse
+
     e = parse(args.expr)
     poly = bracket(e)
     if args.verify:
@@ -152,6 +167,9 @@ def _cmd_bracket(args) -> CommandResult:
 
 
 def _cmd_opacity(args) -> CommandResult:
+    from .algebra import opacity
+    from .expr import leaves, parse, to_text
+
     e = parse(args.expr)
     report = opacity(e)
     pairs = [
@@ -177,11 +195,17 @@ def _cmd_opacity(args) -> CommandResult:
 
 
 def _cmd_cube(args) -> CommandResult:
+    from .expr import parse
+    from .tensor import build_cube
+
     e = parse(args.expr)
     return CommandResult(0, _json(build_cube(e).to_json_dict()))
 
 
 def _cmd_nullity(args) -> CommandResult:
+    from .expr import parse
+    from .graph import PlaneGraph, closure_nullity, mod2_laplacian, nullity_gf2
+
     if args.graph:
         with open(args.graph, encoding="utf-8") as fh:
             g = PlaneGraph.from_json_dict(json.load(fh))
@@ -265,6 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _capacity(message: str) -> CommandResult:
+    return CommandResult(EXIT_CAPACITY, _json({"error": {"kind": "capacity", "message": message}}))
+
+
 def run(argv: list[str]) -> CommandResult:
     """Run a command line; errors become nonzero results with JSON payloads."""
     parser = build_parser()
@@ -284,9 +312,12 @@ def run(argv: list[str]) -> CommandResult:
         )
         return CommandResult(EXIT_PARSE, payload)
     except CapacityError as err:
-        return CommandResult(
-            EXIT_CAPACITY, _json({"error": {"kind": "capacity", "message": str(err)}})
-        )
+        return _capacity(str(err))
+    except RecursionError:
+        # The evaluators still recurse over the expression tree.
+        return _capacity("expression nesting too deep")
+    except MemoryError:
+        return _capacity("out of memory")
     except ConsistencyError as err:
         return CommandResult(
             EXIT_CONSISTENCY,

@@ -1,10 +1,11 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from knotalg import cli, parse, to_text
+from knotalg import parse, to_text
 from knotalg.bracket import state_sum_bracket
 from knotalg.cli import EXIT_CAPACITY, EXIT_CONSISTENCY, EXIT_PARSE, run
 from corpus import state_sweep_corpus
@@ -80,7 +81,8 @@ def test_bracket_verify():
 
 def test_bracket_verify_disagreement(monkeypatch):
     wrong = state_sum_bracket(parse("O"))
-    monkeypatch.setattr(cli, "state_sum_bracket", lambda e: wrong)
+    bracket_module = importlib.import_module("knotalg.bracket")
+    monkeypatch.setattr(bracket_module, "state_sum_bracket", lambda e: wrong)
     assert err(["bracket", "O O", "--verify"], EXIT_CONSISTENCY)["kind"] == "consistency"
 
 
@@ -133,6 +135,25 @@ def test_capacity_exit_code(monkeypatch):
     assert err(["bracket", "6"], EXIT_CAPACITY)["kind"] == "capacity"
     assert err(["cube", "6"], EXIT_CAPACITY)["kind"] == "capacity"
     assert err(["enumerate", "6"], EXIT_CAPACITY)["kind"] == "capacity"
+
+
+def test_deep_nesting_is_over_capacity(python_child):
+    for argv in (
+        ["components", "[" + ",".join(["1"] * 600) + "]"],
+        ["eval", "<0 " * 600 + "O" + ">" * 600],
+    ):
+        child = python_child("-m", "knotalg", *argv)
+        assert child.returncode == EXIT_CAPACITY, child.stderr
+        assert "Traceback" not in child.stderr
+        assert json.loads(child.stderr)["error"]["kind"] == "capacity"
+
+
+def test_memory_error_is_over_capacity(monkeypatch):
+    def exhausted(f):
+        raise MemoryError
+
+    monkeypatch.setattr(importlib.import_module("knotalg.rational"), "classify_fraction", exhausted)
+    assert err(["fraction", "3/5"], EXIT_CAPACITY)["kind"] == "capacity"
 
 
 def test_closed_pipe_prints_no_traceback():
