@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Cross, CrossingNeg, CrossingPos, Expr, IntTangle
+from .expr import Concat, Cross, CrossingPos, Expr, IntTangle
 from .rational import INF, ZERO, Frac
 
 
@@ -100,23 +100,39 @@ def dualize(t: SPTree) -> SPTree:
     return par(*(dualize(c) for c in t.children))
 
 
+_UNTURN = "unturn"
+
+
 def sp_network(e: Expr) -> SPTree:
     """Two-terminal network of an expression.
 
     An integral tangle n is a parallel bank of |n| conductors, tangle
-    addition joins in parallel, mirror rotation dualizes.
+    addition joins in parallel, mirror rotation dualizes.  Duality is
+    applied in one explicit-stack pass: under an odd number of enclosing
+    rotations a sum joins in series, a twist is a series bank and the
+    identity a Short, which equals dualizing each rotated subtree.
     """
-    if isinstance(e, CrossingPos):
-        return Edge(1)
-    if isinstance(e, CrossingNeg):
-        return Edge(-1)
-    if isinstance(e, IntTangle):
-        if e.n == 0:
-            return Open()
-        return par(*(Edge(1 if e.n > 0 else -1),) * abs(e.n))
-    if isinstance(e, Cross):
-        return dualize(sp_network(e.inner))
-    return par(*(sp_network(p) for p in e.parts))
+    done: list[SPTree] = []
+    todo: list = [e]
+    odd = False
+    while todo:
+        node = todo.pop()
+        if isinstance(node, IntTangle):
+            bank = (Edge(1 if node.n > 0 else -1),) * abs(node.n)
+            done.append(ser(*bank) if odd else par(*bank))
+        elif isinstance(node, Concat):
+            todo.append(len(node.parts))
+            todo += reversed(node.parts)
+        elif isinstance(node, Cross):
+            odd = not odd
+            todo += (_UNTURN, node.inner)
+        elif node is _UNTURN:
+            odd = not odd
+        elif isinstance(node, int):  # join the last `node` networks
+            done[-node:] = [ser(*done[-node:]) if odd else par(*done[-node:])]
+        else:
+            done.append(Edge(1 if isinstance(node, CrossingPos) else -1))
+    return done[0]
 
 
 def conductance(t: SPTree) -> Frac:
@@ -173,46 +189,33 @@ def to_multigraph(t: SPTree, closed: bool = True) -> PlaneGraph:
     """
     if isinstance(t, Short) and not closed:
         return PlaneGraph(2, ())
-    parent: dict[int, int] = {}
+    parent = [0, 1]
 
     def find(x: int) -> int:
-        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        parent.setdefault(counter[0] - 1, counter[0] - 1)
-        return counter[0] - 1
-
     edges: list[tuple[int, int]] = []
-
-    def realize(node: SPTree, u: int, v: int) -> None:
+    todo: list[tuple[SPTree, int, int]] = [(t, 0, 1)]  # an Open realizes as nothing
+    while todo:
+        node, u, v = todo.pop()
         if isinstance(node, Edge):
             edges.append((u, v))
-        elif isinstance(node, Open):
-            pass
         elif isinstance(node, Short):
             parent[find(u)] = find(v)
         elif isinstance(node, Par):
-            for c in node.children:
-                realize(c, u, v)
-        else:
-            nodes = [u] + [fresh() for _ in node.children[:-1]] + [v]
-            for c, a, b in zip(node.children, nodes, nodes[1:]):
-                realize(c, a, b)
-
-    s, t_node = fresh(), fresh()
-    realize(t, s, t_node)
+            todo += [(c, u, v) for c in reversed(node.children)]
+        elif isinstance(node, Ser):
+            first = len(parent)
+            inner = range(first, first + len(node.children) - 1)
+            parent.extend(inner)
+            nodes = [u, *inner, v]
+            todo += reversed(list(zip(node.children, nodes, nodes[1:])))
     index: dict[int, int] = {}
-    for x in range(counter[0]):
-        index.setdefault(find(x), len(index))
-    packed = tuple((index[find(u)], index[find(v)]) for u, v in edges)
-    return PlaneGraph(len(index), packed)
+    label = [index.setdefault(find(x), len(index)) for x in range(len(parent))]
+    return PlaneGraph(len(index), tuple((label[u], label[v]) for u, v in edges))
 
 
 @dataclass
@@ -240,20 +243,21 @@ class GF2Matrix:
         return [[(row >> j) & 1 for j in range(self.n)] for row in self.rows]
 
     def rank(self) -> int:
-        work = list(self.rows)
-        rank = 0
-        for col in range(self.n):
-            pivot = next(
-                (r for r in range(rank, len(work)) if (work[r] >> col) & 1), None
-            )
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for r in range(len(work)):
-                if r != rank and (work[r] >> col) & 1:
-                    work[r] ^= work[rank]
-            rank += 1
-        return rank
+        """Rank over GF(2) by elimination against a leading-bit basis.
+
+        Each row is XORed with the basis row owning its leading bit until
+        it vanishes (dependent) or owns a new leading bit (joins the basis).
+        """
+        basis: dict[int, int] = {}
+        for row in self.rows:
+            while row:
+                lead = row.bit_length() - 1
+                pivot = basis.get(lead)
+                if pivot is None:
+                    basis[lead] = row
+                    break
+                row ^= pivot
+        return len(basis)
 
 
 def mod2_laplacian(g: PlaneGraph) -> GF2Matrix:

@@ -1,14 +1,16 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-from knotalg import parse, to_text
+from knotalg import PlaneGraph, mod2_laplacian, parse, to_text
 from knotalg.bracket import state_sum_bracket
 from knotalg.cli import EXIT_CAPACITY, EXIT_CONSISTENCY, EXIT_PARSE, run
 from corpus import state_sweep_corpus
+from references import dense_rank
 
 
 def ok(argv):
@@ -183,3 +185,13 @@ def test_verify_never_disagrees_on_corpus():
     for e in component_corpus()[::5]:
         result = run(["components", to_text(e), "--verify"])
         assert result.code == 0, result.payload
+
+
+def test_nullity_graph_file_at_scale(tmp_path):
+    rng = random.Random(3000)
+    n = 3000
+    edges = [[rng.randrange(n), rng.randrange(n)] for _ in range(3 * n // 2)]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"nodes": n, "edges": edges}))
+    m = mod2_laplacian(PlaneGraph(n, tuple(map(tuple, edges))))
+    assert ok(["nullity", "--graph", str(path)]) == str(n - dense_rank(m.rows, n))

@@ -21,7 +21,8 @@ from knotalg import (
     trace_components,
 )
 from knotalg.graph import Edge, GF2Matrix, Open, Par, Ser, Short, par, ser
-from corpus import BORROMEAN, WHITEHEAD, component_corpus
+from corpus import BORROMEAN, WHITEHEAD, component_corpus, random_expr
+from references import dense_rank, dualize_network
 
 
 def test_sp_network_examples():
@@ -171,3 +172,35 @@ def test_dualize_involution_on_random_networks():
 def test_conductance_rejects_degenerate_networks():
     with pytest.raises(ArithmeticError):
         conductance(sp_network(parse("V V")))
+
+
+def _random_laplacian(rng: random.Random, n: int) -> GF2Matrix:
+    edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n)))
+    return mod2_laplacian(PlaneGraph(n, edges))
+
+
+def test_rank_matches_dense_reference_on_random_matrices():
+    rng = random.Random(1729)
+    for _ in range(300):
+        n = rng.randint(0, 60)
+        density = rng.choice((0.02, 0.1, 0.3, 0.5, 0.9))
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        assert GF2Matrix(n, rows).rank() == dense_rank(rows, n), (n, density)
+
+
+def test_rank_matches_dense_reference_on_random_laplacians():
+    rng = random.Random(1730)
+    for _ in range(100):
+        m = _random_laplacian(rng, rng.randint(1, 80))
+        assert m.rank() == dense_rank(m.rows, m.n)
+
+
+def test_sp_network_matches_dualize_reference():
+    rng = random.Random(2565)
+    exprs = component_corpus() + [random_expr(rng, depth=6) for _ in range(500)]
+    for e in exprs:
+        reference = dualize_network(e)
+        assert sp_network(e) == reference
+        g = to_multigraph(reference, closed=True)
+        m = mod2_laplacian(g)
+        assert closure_nullity(e) == m.n - dense_rank(m.rows, m.n) == closure_components(e)

@@ -7,11 +7,13 @@ from knotalg import (
     IntTangle,
     build_diagram,
     closure_components,
+    crossing_count,
     parse,
     trace_components,
     trace_state_loops,
 )
 from corpus import BORROMEAN, component_corpus, random_expr
+from references import diagram_curves, union_find_curves
 
 
 def test_single_twist_diagram():
@@ -94,3 +96,31 @@ def test_agreement_with_algebra_random_large():
     for _ in range(1000):
         e = random_expr(rng, depth=6)
         assert trace_components(e) == closure_components(e)
+
+
+def test_trace_matches_union_find_reference():
+    rng = random.Random(8101)
+    for e in component_corpus() + [random_expr(rng, depth=6) for _ in range(200)]:
+        assert trace_components(e) == union_find_curves(e) == diagram_curves(build_diagram(e))
+
+
+def test_state_loops_match_union_find_reference():
+    rng = random.Random(8102)
+    exprs = component_corpus() + [random_expr(rng, depth=5) for _ in range(200)]
+    for e in exprs:
+        n = crossing_count(e)
+        state = "".join(rng.choice("AB") for _ in range(n))
+        assert trace_state_loops(e, state) == union_find_curves(e, state)
+        with pytest.raises(ValueError, match="length"):
+            trace_state_loops(e, state + "A")
+        if n:
+            bad = state[:-1] + rng.choice("abX0 ")
+            with pytest.raises(ValueError, match="labels"):
+                trace_state_loops(e, bad)
+
+
+def test_oracle_loads_neither_the_algebra_nor_the_laplacian(python_child):
+    code = "import sys, knotalg.oracle\nprint(' '.join(m for m in sys.modules if m.startswith('knotalg.')))"
+    child = python_child("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert set(child.stdout.split()) <= {"knotalg.oracle", "knotalg.expr", "knotalg.errors"}
